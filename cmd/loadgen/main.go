@@ -15,9 +15,8 @@
 // "loadgen"), so cmd/runcmp diffs load runs like any other profile.
 //
 // Exit codes: 0 when every objective held, 7 when an SLO was breached
-// (distinct from the phase-budget breach code 6), 1 when the harness could
-// not measure anything (no job completed, unreachable server), 2 for flag
-// misuse.
+// (code 6 is retired), 1 when the harness could not measure anything (no job
+// completed, unreachable server), 2 for flag misuse.
 package main
 
 import (

@@ -18,14 +18,19 @@
 //
 // The human-readable attribution table goes to stdout; -json additionally
 // writes the stable cirstag.runcmp/v1 verdict. Exits 0 when no gated phase
-// regressed beyond the threshold, 1 on regression, 2 on bad input or flag
-// misuse.
+// regressed beyond the threshold, 1 on regression (including a phase matched
+// by -phases that is missing from the current side), 2 on bad input or flag
+// misuse. This is the repository's one regression gate: CI runs it on bench
+// reports against ci/bench_baseline.json, and -ledger gates a recorded run
+// against its own history.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -37,40 +42,61 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: it parses args, writes the table to
+// stdout and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("runcmp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		aPath     = flag.String("a", "", "baseline artifact (run report or bench report JSON)")
-		bPath     = flag.String("b", "", "current artifact (run report or bench report JSON)")
-		ledgerDir = flag.String("ledger", "", "compare the newest ledger entry in DIR against its most recent comparable predecessor")
-		inputHash = flag.String("input-hash", "", "ledger mode: only consider entries with this input hash")
-		threshold = flag.Float64("threshold", 25, "relative increase (percent) above which a gated phase fails the verdict")
-		phases    = flag.String("phases", "", "comma-separated phase-name prefixes to gate (default: every phase is gated)")
-		jsonOut   = flag.String("json", "", "also write the cirstag.runcmp/v1 verdict JSON to this file")
+		aPath     = fs.String("a", "", "baseline artifact (run report or bench report JSON)")
+		bPath     = fs.String("b", "", "current artifact (run report or bench report JSON)")
+		ledgerDir = fs.String("ledger", "", "compare the newest ledger entry in DIR against its most recent comparable predecessor")
+		inputHash = fs.String("input-hash", "", "ledger mode: only consider entries with this input hash")
+		threshold = fs.Float64("threshold", 25, "relative increase (percent) above which a gated phase fails the verdict")
+		phases    = fs.String("phases", "", "comma-separated phase-name prefixes to gate; a gated phase missing from -b fails (default: every phase is gated)")
+		jsonOut   = fs.String("json", "", "also write the cirstag.runcmp/v1 verdict JSON to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "runcmp: %v\n", err)
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintf(stderr, "runcmp: %s (see -h)\n", msg)
+		return 2
+	}
 
 	fileMode := *aPath != "" || *bPath != ""
 	if fileMode == (*ledgerDir != "") {
-		usage("need either -a/-b or -ledger")
+		return usage("need either -a/-b or -ledger")
 	}
 	if fileMode && (*aPath == "" || *bPath == "") {
-		usage("-a and -b are both required in file mode")
+		return usage("-a and -b are both required in file mode")
 	}
 	if fileMode && *inputHash != "" {
-		usage("-input-hash only applies to -ledger mode")
+		return usage("-input-hash only applies to -ledger mode")
 	}
 
 	var base, cur *runcmp.Profile
 	var err error
 	if fileMode {
 		if base, err = loadArtifact(*aPath); err != nil {
-			fatalInput(err)
+			return fail(err)
 		}
 		if cur, err = loadArtifact(*bPath); err != nil {
-			fatalInput(err)
+			return fail(err)
 		}
 	} else {
-		if base, cur, err = loadLedgerPair(*ledgerDir, *inputHash); err != nil {
-			fatalInput(err)
+		if base, cur, err = loadLedgerPair(*ledgerDir, *inputHash, stderr); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -78,19 +104,20 @@ func main() {
 		ThresholdPct: *threshold,
 		Phases:       splitCSV(*phases),
 	})
-	fmt.Print(verdict.Table())
+	fmt.Fprint(stdout, verdict.Table())
 	if *jsonOut != "" {
 		out, err := verdict.WriteJSON()
 		if err != nil {
-			fatalInput(err)
+			return fail(err)
 		}
 		if err := os.WriteFile(*jsonOut, out, 0o644); err != nil {
-			fatalInput(err)
+			return fail(err)
 		}
 	}
 	if verdict.Regressed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // loadArtifact reads a JSON artifact and dispatches on its schema field to
@@ -136,13 +163,13 @@ func loadArtifact(path string) (*runcmp.Profile, error) {
 // recent earlier entry with the same input hash, cache temperature, and tool
 // is "baseline" — entries for different inputs or a cold run against a warm
 // one are not comparable.
-func loadLedgerPair(dir, wantHash string) (base, cur *runcmp.Profile, err error) {
+func loadLedgerPair(dir, wantHash string, stderr io.Writer) (base, cur *runcmp.Profile, err error) {
 	entries, skipped, err := history.Load(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "runcmp: warning: skipped %d malformed ledger line(s)\n", skipped)
+		fmt.Fprintf(stderr, "runcmp: warning: skipped %d malformed ledger line(s)\n", skipped)
 	}
 	if wantHash != "" {
 		var kept []history.Entry
@@ -176,14 +203,4 @@ func splitCSV(s string) []string {
 		}
 	}
 	return out
-}
-
-func usage(msg string) {
-	fmt.Fprintf(os.Stderr, "runcmp: %s (see -h)\n", msg)
-	os.Exit(2)
-}
-
-func fatalInput(err error) {
-	fmt.Fprintf(os.Stderr, "runcmp: %v\n", err)
-	os.Exit(2)
 }

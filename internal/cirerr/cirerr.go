@@ -22,7 +22,7 @@
 //
 // ExitCode maps the kinds onto stable CLI exit codes (documented in the
 // README troubleshooting section); both binaries use it so scripts can route
-// on $?.
+// on $?. Code 7 (ExitSLOBreach) is not an error kind, and code 6 is retired.
 package cirerr
 
 import (
@@ -130,16 +130,13 @@ const (
 	ExitCorruptArtifact = 3
 	ExitNoConverge      = 4
 	ExitDegenerate      = 5
-	// ExitBudgetBreach is not an error kind: the run itself succeeded, but
-	// -check-budgets found a phase over its latency budget (internal/obs/
-	// history). Scripts gate deploys on it without conflating it with
-	// pipeline failures.
-	ExitBudgetBreach = 6
-	// ExitSLOBreach is loadgen's counterpart to ExitBudgetBreach: the load
-	// run itself completed, but the measured latencies or error rate burned
-	// past a configured service-level objective (internal/load). Distinct
-	// from ExitBudgetBreach so CI can tell "a phase regressed" apart from
-	// "the service missed its SLO under load".
+	// Code 6 is retired (it was the removed latency-budget gate's breach
+	// code) and is not reused, so old scripts never misread a new meaning.
+
+	// ExitSLOBreach is not an error kind: the load run itself completed, but
+	// the measured latencies or error rate burned past a configured
+	// service-level objective (internal/load). Scripts gate on it without
+	// conflating it with pipeline failures.
 	ExitSLOBreach = 7
 )
 

@@ -246,7 +246,7 @@ func TestDMDCalculator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDMDCalculator(res)
+	d := NewDMDCalculatorFromGraphs(res.InputManifold, res.OutputManifold)
 	if d.DMD(4, 4) != 0 {
 		t.Fatal("DMD(p,p) must be 0")
 	}

@@ -65,12 +65,6 @@ func (o DMDOptions) withDefaults() DMDOptions {
 	return o
 }
 
-// NewDMDCalculator prepares exact resistance solvers on both manifolds of a
-// CirSTAG result.
-func NewDMDCalculator(res *Result) *DMDCalculator {
-	return NewDMDCalculatorOpts(res.InputManifold, res.OutputManifold, DMDOptions{})
-}
-
 // NewDMDCalculatorFromGraphs builds an exact calculator from explicit
 // manifolds.
 func NewDMDCalculatorFromGraphs(gx, gy *graph.Graph) *DMDCalculator {

@@ -296,26 +296,6 @@ func (b *Baseline) Advance(newOutput *mat.Dense, res *Result, info *IncrementalI
 	return nil
 }
 
-// Fork deep-copies the baseline's mutable state so two sequences can advance
-// from a shared prefix concurrently. The circuit graph and features are
-// shared (the Run contract treats them as immutable); the retained output,
-// Result, and drift ledger are cloned. Options are copied by value — callers
-// running forks concurrently under tracing should re-parent Opts.Span per
-// fork so each sequence's spans land in its own subtree.
-func (b *Baseline) Fork() *Baseline {
-	if b == nil {
-		return nil
-	}
-	cp := &Baseline{Input: b.Input, Opts: b.Opts, Result: b.Result.Clone()}
-	if b.Input.Output != nil {
-		cp.Input.Output = b.Input.Output.Clone()
-	}
-	if b.drift != nil {
-		cp.drift = b.drift.Clone()
-	}
-	return cp
-}
-
 // rowDisplacements returns, per row, the largest absolute entry difference
 // between oldY and newY — the displacement measure the tolerance and drift
 // accounting are defined on. (Summing per-step maxima is a conservative

@@ -324,42 +324,6 @@ func TestAdvanceRebasesBaseline(t *testing.T) {
 	}
 }
 
-// TestBaselineForkIsolation: a forked baseline advances independently of its
-// parent.
-func TestBaselineForkIsolation(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	in := syntheticInput(rng, 90, map[int]bool{4: true})
-	base, err := NewBaseline(in, Options{Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork := base.Fork()
-	newY := perturbRow(base, 4, 2.0)
-	res, info, err := fork.RunIncremental(newY, IncrementalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fork.Advance(newY, res, info); err != nil {
-		t.Fatal(err)
-	}
-	// The parent still diffs against the original output: the same perturbed
-	// matrix is a change for it, a no-op for the advanced fork.
-	_, pinfo, err := base.RunIncremental(newY.Clone(), IncrementalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinfo.ReusedBaseline {
-		t.Fatal("parent baseline saw the fork's Advance")
-	}
-	_, finfo, err := fork.RunIncremental(newY.Clone(), IncrementalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !finfo.ReusedBaseline {
-		t.Fatalf("fork info = %+v, want baseline reuse", finfo)
-	}
-}
-
 // TestIncrementalFullRebuildBitIdentical: when too many nodes move, the
 // fallback rebuild must be bit-identical to a fresh full Run on the new
 // output (same RNG stream assignment).

@@ -17,7 +17,10 @@
 //     regression better than any phase ranking.
 //
 // Statuses keep the verdict JSON finite: a phase/resource present on one
-// side only is "new" or "gone" (informational), never an infinite delta.
+// side only is "new" or "gone", never an infinite delta. One-sided rows are
+// informational, with one exception: when an explicit phase filter is set, a
+// gated phase missing from the current side entirely fails the verdict — a
+// gated benchmark that stopped running must not pass by its absence.
 package runcmp
 
 import (
@@ -139,7 +142,8 @@ type Options struct {
 	// Phases, when non-empty, restricts the GATE to phases matching any of
 	// these name prefixes. Non-matching phases are still compared and listed,
 	// but cannot fail the verdict — CI gates a stable phase allowlist while
-	// the table keeps full visibility.
+	// the table keeps full visibility. A matching phase present in the
+	// baseline but missing from the current side fails the verdict.
 	Phases []string
 }
 
@@ -173,7 +177,8 @@ type Verdict struct {
 	Deltas    []Delta `json:"deltas"`
 	Regressed bool    `json:"regressed"`
 	// Top is the worst gated regression — the attribution answer — nil when
-	// nothing regressed.
+	// nothing regressed. A regressed comparable row wins; failing that, the
+	// first "gone" row of a gated phase missing from the current side.
 	Top *Delta `json:"top,omitempty"`
 }
 
@@ -206,6 +211,13 @@ func Compare(a, b *Profile, opts Options) *Verdict {
 		}
 		return false
 	}
+	// missing reports whether a "gone" row fails the verdict: only an
+	// explicitly gated phase absent from the current side altogether does.
+	// A resource missing from a phase that still ran (a bench side against a
+	// report side, resource accounting off on one run) stays informational.
+	missing := func(d Delta) bool {
+		return d.Status == "gone" && len(opts.Phases) > 0 && d.Gated && b.Phases[d.Phase] == nil
+	}
 
 	v := &Verdict{
 		Schema:        SchemaVersion,
@@ -234,8 +246,12 @@ func Compare(a, b *Profile, opts Options) *Verdict {
 				oneSided = append(oneSided, Delta{Phase: phase, Resource: res,
 					Base: av, Cur: bv, Status: "new", Gated: gated(phase)})
 			case aok && av >= floor && !bok:
-				oneSided = append(oneSided, Delta{Phase: phase, Resource: res,
-					Base: av, Cur: bv, Status: "gone", Gated: gated(phase)})
+				d := Delta{Phase: phase, Resource: res,
+					Base: av, Cur: bv, Status: "gone", Gated: gated(phase)}
+				if missing(d) {
+					v.Regressed = true
+				}
+				oneSided = append(oneSided, d)
 			}
 			// Both below floor or both absent: noise, no row.
 		}
@@ -262,10 +278,11 @@ func Compare(a, b *Profile, opts Options) *Verdict {
 	})
 	v.Deltas = append(ranked, oneSided...)
 
-	for i := range v.Deltas {
-		if v.Deltas[i].Status == "regressed" {
-			top := v.Deltas[i]
-			v.Top = &top
+	// Comparable rows precede one-sided ones, so the first failing row is the
+	// worst regression, or a missing gated phase when nothing regressed.
+	for _, d := range v.Deltas {
+		if d.Status == "regressed" || missing(d) {
+			v.Top = &d
 			break
 		}
 	}
@@ -310,10 +327,14 @@ func (v *Verdict) Table() string {
 				mark, d.Phase, d.Resource, d.Base, d.Cur, d.DeltaPct, d.Status)
 		}
 	}
-	if v.Top != nil {
+	switch {
+	case v.Top != nil && v.Top.Status == "gone":
+		fmt.Fprintf(&sb, "top regression: %s %s gone (gated phase missing from current)\n",
+			v.Top.Phase, v.Top.Resource)
+	case v.Top != nil:
 		fmt.Fprintf(&sb, "top regression: %s %s %+.1f%% (threshold +%.0f%%)\n",
 			v.Top.Phase, v.Top.Resource, v.Top.DeltaPct, v.ThresholdPct)
-	} else {
+	default:
 		fmt.Fprintf(&sb, "no regression above +%.0f%%\n", v.ThresholdPct)
 	}
 	return sb.String()

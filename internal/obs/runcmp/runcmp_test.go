@@ -275,3 +275,91 @@ func TestFromLoadDiffsLikeProfiles(t *testing.T) {
 		t.Fatalf("top = %+v, want load.e2e_ms.p95", v.Top)
 	}
 }
+
+// benchProfile builds a bench-report profile from (name, ms) pairs.
+func benchProfile(pairs ...any) *Profile {
+	rep := &bench.BenchReport{Schema: bench.BenchSchemaVersion}
+	for i := 0; i+1 < len(pairs); i += 2 {
+		rep.Results = append(rep.Results, bench.BenchResult{
+			Name:    pairs[i].(string),
+			NsPerOp: pairs[i+1].(float64) * 1e6,
+		})
+	}
+	return FromBench(rep, "test")
+}
+
+// TestBenchGate is the CI bench gate: gated prefixes, a 25% limit,
+// and a gated benchmark missing from the current report failing outright.
+func TestBenchGate(t *testing.T) {
+	opts := Options{ThresholdPct: 25, Phases: []string{"CoreRun", "KNNBuild"}}
+	cases := []struct {
+		name      string
+		base, cur *Profile
+		wantFail  bool
+		wantTop   string // top phase when failing
+	}{
+		{
+			name: "gated +20% passes",
+			base: benchProfile("CoreRun/serial", 100.0, "KNNBuild/parallel", 50.0),
+			cur:  benchProfile("CoreRun/serial", 120.0, "KNNBuild/parallel", 40.0),
+		},
+		{
+			name:     "gated +30% fails",
+			base:     benchProfile("CoreRun/serial", 100.0),
+			cur:      benchProfile("CoreRun/serial", 130.0),
+			wantFail: true,
+			wantTop:  "CoreRun/serial",
+		},
+		{
+			name: "ungated +30% passes",
+			base: benchProfile("TableI", 100.0),
+			cur:  benchProfile("TableI", 130.0),
+		},
+		{
+			name:     "gated missing fails",
+			base:     benchProfile("KNNBuild/parallel", 50.0),
+			cur:      benchProfile(),
+			wantFail: true,
+			wantTop:  "KNNBuild/parallel",
+		},
+		{
+			name: "ungated missing passes",
+			base: benchProfile("TableI", 100.0),
+			cur:  benchProfile(),
+		},
+		{
+			name:     "regression outranks a missing gated phase",
+			base:     benchProfile("CoreRun/serial", 100.0, "KNNBuild/parallel", 50.0),
+			cur:      benchProfile("CoreRun/serial", 150.0),
+			wantFail: true,
+			wantTop:  "CoreRun/serial",
+		},
+		{
+			// Only resources present on both sides are compared: a report
+			// baseline against a bench current lacks cpu_ms, but the phase ran.
+			name: "gated resource missing from a phase that ran passes",
+			base: prof(map[string]map[string]float64{"CoreRun/serial": {"wall_ms": 100, "cpu_ms": 100}}),
+			cur:  prof(map[string]map[string]float64{"CoreRun/serial": {"wall_ms": 100}}),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := Compare(tc.base, tc.cur, opts)
+			if v.Regressed != tc.wantFail {
+				t.Fatalf("regressed = %v, want %v: %+v", v.Regressed, tc.wantFail, v.Deltas)
+			}
+			if !tc.wantFail {
+				if v.Top != nil {
+					t.Fatalf("passing verdict names a top regression: %+v", v.Top)
+				}
+				return
+			}
+			if v.Top == nil || v.Top.Phase != tc.wantTop {
+				t.Fatalf("top = %+v, want %s", v.Top, tc.wantTop)
+			}
+			if !strings.Contains(v.Table(), "top regression: "+tc.wantTop) {
+				t.Fatalf("table does not name %s:\n%s", tc.wantTop, v.Table())
+			}
+		})
+	}
+}

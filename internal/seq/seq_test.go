@@ -14,11 +14,29 @@ import (
 // featPredictor is a cheap deterministic Predictor for tests: the output
 // matrix is the design's raw feature matrix, which responds to every script
 // operation (cap scaling moves the cap column, rewiring moves fanout/depth)
-// without the cost of training a GNN. Stateless, so Fork returns the receiver.
+// without the cost of training a GNN.
 type featPredictor struct{}
 
 func (featPredictor) Outputs(nl *circuit.Netlist) (*mat.Dense, error) { return nl.Features(), nil }
-func (p featPredictor) Fork() Predictor                               { return p }
+
+// runStepwise runs script over base one step at a time through resume — the
+// code path Run executes — and captures the chained result after every step.
+func runStepwise(t *testing.T, nl *circuit.Netlist, base *core.Baseline, script *Script, pred Predictor, opts Options) (*Result, []*core.Result) {
+	t.Helper()
+	snap := &snapshot{nl: nl, base: base}
+	var res *Result
+	var stepResults []*core.Result
+	for i := range script.Steps {
+		prefix := *script
+		prefix.Steps = script.Steps[:i+1]
+		var err error
+		if res, err = resume(snap, &prefix, i, pred, opts); err != nil {
+			t.Fatal(err)
+		}
+		stepResults = append(stepResults, res.Final)
+	}
+	return res, stepResults
+}
 
 func testDesign(t testing.TB) *circuit.Netlist {
 	t.Helper()
@@ -158,8 +176,7 @@ func TestSequenceOracle(t *testing.T) {
 	opts := testOptions()
 	pred := featPredictor{}
 
-	// Runner under test, capturing the per-step results via the in-package
-	// resume hook (exactly the code path Run executes).
+	// Runner under test, capturing the per-step results.
 	y0, err := pred.Outputs(nl)
 	if err != nil {
 		t.Fatal(err)
@@ -169,12 +186,7 @@ func TestSequenceOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stepResults []*core.Result
-	res, err := resume(&snapshot{nl: nl, base: base}, script, 0, pred, opts,
-		func(i int, s *snapshot) { stepResults = append(stepResults, s.base.Result.Clone()) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, stepResults := runStepwise(t, nl, base, script, pred, opts)
 	if len(res.Steps) != len(script.Steps) || len(stepResults) != len(script.Steps) {
 		t.Fatalf("got %d step reports, %d captured results, want %d", len(res.Steps), len(stepResults), len(script.Steps))
 	}
@@ -261,12 +273,7 @@ func TestSequenceDriftGuardBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stepResults []*core.Result
-	res, err := resume(&snapshot{nl: nl, base: base}, script, 0, pred, opts,
-		func(i int, s *snapshot) { stepResults = append(stepResults, s.base.Result.Clone()) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, stepResults := runStepwise(t, nl, base, script, pred, opts)
 	drift := -1
 	for i, rep := range res.Steps {
 		if rep.DriftRebuild {
@@ -318,55 +325,6 @@ func TestRunDeterministic(t *testing.T) {
 	for p := range a.Final.NodeScores {
 		if a.Final.NodeScores[p] != b.Final.NodeScores[p] {
 			t.Fatalf("final score[%d] diverged: %g vs %g", p, a.Final.NodeScores[p], b.Final.NodeScores[p])
-		}
-	}
-}
-
-// TestRunBatchMatchesIndividualRuns: a batch with shared prefixes returns, for
-// every script, exactly what a standalone Run of that script returns — the
-// prefix memoization must be invisible in the results.
-func TestRunBatchMatchesIndividualRuns(t *testing.T) {
-	nl := testDesign(t)
-	common := Example(nl, 4, 21)
-	mk := func(tail ...Step) *Script {
-		s := &Script{Schema: SchemaVersion, Seed: common.Seed}
-		s.Steps = append(append([]Step{}, common.Steps...), tail...)
-		return s
-	}
-	g1, g2 := gateCell(nl), -1
-	for _, c := range nl.Cells {
-		if c.Type != circuit.PortIn && c.Type != circuit.PortOut && c.ID != g1 {
-			g2 = c.ID
-			break
-		}
-	}
-	scripts := []*Script{
-		mk(Step{Op: OpResize, Cell: g1, Factor: 2}),
-		mk(Step{Op: OpResize, Cell: g2, Factor: 3}),
-		mk(Step{Op: OpMerge, Cells: []int{g1, g2}}),
-	}
-	batch, err := RunBatch(nl, scripts, featPredictor{}, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si, s := range scripts {
-		solo, err := Run(nl, s, featPredictor{}, testOptions())
-		if err != nil {
-			t.Fatalf("script %d: %v", si, err)
-		}
-		if len(batch[si].Steps) != len(solo.Steps) {
-			t.Fatalf("script %d: %d batch steps vs %d solo", si, len(batch[si].Steps), len(solo.Steps))
-		}
-		for i := range solo.Steps {
-			x, y := batch[si].Steps[i], solo.Steps[i]
-			if x.ChangedNodes != y.ChangedNodes || x.Path() != y.Path() || x.TopNode != y.TopNode || x.TopScore != y.TopScore {
-				t.Fatalf("script %d step %d diverged: %+v vs %+v", si, i, x, y)
-			}
-		}
-		for p := range solo.Final.NodeScores {
-			if batch[si].Final.NodeScores[p] != solo.Final.NodeScores[p] {
-				t.Fatalf("script %d: final score[%d] diverged", si, p)
-			}
 		}
 	}
 }

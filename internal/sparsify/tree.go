@@ -1,9 +1,9 @@
 // Package sparsify implements the Phase-2 graph-reduction machinery of
 // CirSTAG: spanning-tree extraction (maximum-weight and low-stretch
-// shortest-path trees), a low-resistance-diameter (LRD) cycle decomposition
-// for weighted graphs, and spectral sparsification that prunes off-tree edges
+// shortest-path trees) and spectral sparsification that prunes off-tree edges
 // with small spectral distortion η = w·R_eff (paper eq. 8) while preserving
-// connectivity.
+// connectivity, bounding each off-tree edge's low-resistance-diameter (LRD)
+// cycle resistance.
 package sparsify
 
 import (
