@@ -22,9 +22,8 @@ var (
 	blockRHS    = obs.NewHistogram("solver.block.rhs", obs.ExpBuckets(1, 2, 12)...)
 )
 
-// BlockOp is an optional Op extension for operators that can apply
-// themselves to several vectors in one fused pass. PCGBlock uses it when
-// available and falls back to per-column ApplyTo otherwise.
+// BlockOp is an Op that can apply itself to several vectors in one fused
+// pass; PCGBlock requires it. AsOp returns one for any square CSR matrix.
 type BlockOp interface {
 	Op
 	// ApplyBlockTo computes y[:,j] = A·x[:,j] for the selected columns.
@@ -33,17 +32,6 @@ type BlockOp interface {
 }
 
 func (o csrOp) ApplyBlockTo(y, x *mat.Dense, cols []int) { o.m.MulDenseColsTo(y, x, cols) }
-
-// BlockPreconditioner is an optional Preconditioner extension for
-// preconditioners whose application is safe to fuse or run concurrently
-// across columns. TreePrec and JacobiPrec implement it; unknown
-// preconditioners are applied serially column by column.
-type BlockPreconditioner interface {
-	Preconditioner
-	// PrecondBlockTo computes z[:,j] = M⁻¹·r[:,j] for the selected columns,
-	// bitwise equal to PrecondTo per column.
-	PrecondBlockTo(z, r *mat.Dense, cols []int)
-}
 
 // PrecondBlockTo applies the inverse diagonal to every selected column in a
 // single fused row pass (elementwise, so trivially bit-identical per column).
@@ -61,109 +49,90 @@ func (p *JacobiPrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
 	})
 }
 
-// PrecondBlockTo runs the two-pass tree solve on each selected column
-// concurrently: PrecondTo allocates its own per-call scratch, so per-column
-// applications are independent and bit-identical to the serial path.
-func (t *TreePrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
-	n := t.n
-	parallel.ForEach(len(cols), 1, func(c int) {
-		j := cols[c]
-		rj := make(mat.Vec, n)
-		zj := make(mat.Vec, n)
-		copyColOut(rj, r, j)
-		t.PrecondTo(zj, rj)
-		copyColIn(z, j, zj)
+// PrecondBlockTo copies the selected columns (identity preconditioning).
+func (IdentityPrec) PrecondBlockTo(z, r *mat.Dense, cols []int) { copyCols(z, r, cols) }
+
+// colGroup is the number of columns one row-major pass of the per-column
+// kernels (dots, norms, the block tree solve) carries. The active-column list
+// is cut into groups of this width with parallel.For, so group boundaries
+// depend only on the number of active columns, never on the worker count,
+// and each column's reduction still runs over ascending rows on one
+// goroutine. A fixed 8 keeps one group's values for a row within a cache
+// line when the active columns are contiguous.
+const colGroup = 8
+
+// dotCols sets dst[j] = a[:,j]·b[:,j] for every j in cols. Each column
+// accumulates over ascending rows exactly as mat.Dot does, so the result is
+// bitwise equal to Dot of the extracted columns.
+func dotCols(dst []float64, a, b *mat.Dense, cols []int) {
+	w := a.Cols
+	parallel.For(len(cols), colGroup, func(lo, hi int) {
+		g := cols[lo:hi]
+		var s [colGroup]float64
+		for i := 0; i < a.Rows; i++ {
+			arow := a.Data[i*w : (i+1)*w]
+			brow := b.Data[i*w : (i+1)*w]
+			for c, j := range g {
+				s[c] += arow[j] * brow[j]
+			}
+		}
+		for c, j := range g {
+			dst[j] = s[c]
+		}
 	})
 }
 
-// PrecondBlockTo copies the selected columns (identity preconditioning).
-func (IdentityPrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
-	w := r.Cols
-	for i := 0; i < r.Rows; i++ {
-		for _, j := range cols {
-			z.Data[i*w+j] = r.Data[i*w+j]
+// normCols sets dst[j] = ‖m[:,j]‖₂ for every j in cols with mat.Norm2's
+// overflow-guarded scale/ssq recurrence, run per column over ascending rows,
+// so the result is bitwise equal to Norm2 of the extracted column.
+func normCols(dst []float64, m *mat.Dense, cols []int) {
+	w := m.Cols
+	parallel.For(len(cols), colGroup, func(lo, hi int) {
+		g := cols[lo:hi]
+		var scale, ssq [colGroup]float64
+		for c := range g {
+			ssq[c] = 1
 		}
-	}
+		for i := 0; i < m.Rows; i++ {
+			row := m.Data[i*w : (i+1)*w]
+			for c, j := range g {
+				x := row[j]
+				if x == 0 {
+					continue
+				}
+				ax := math.Abs(x)
+				if scale[c] < ax {
+					r := scale[c] / ax
+					ssq[c] = 1 + ssq[c]*r*r
+					scale[c] = ax
+				} else {
+					r := ax / scale[c]
+					ssq[c] += r * r
+				}
+			}
+		}
+		for c, j := range g {
+			dst[j] = scale[c] * math.Sqrt(ssq[c])
+		}
+	})
 }
 
-func precondBlock(m Preconditioner, z, r *mat.Dense, cols []int) {
-	if bm, ok := m.(BlockPreconditioner); ok {
-		bm.PrecondBlockTo(z, r, cols)
+// copyCols copies the selected columns of src into dst (same shape) in one
+// row pass.
+func copyCols(dst, src *mat.Dense, cols []int) {
+	if len(cols) == 0 {
 		return
 	}
-	// Unknown preconditioner: not necessarily safe to apply concurrently.
-	n := r.Rows
-	rj := make(mat.Vec, n)
-	zj := make(mat.Vec, n)
-	for _, j := range cols {
-		copyColOut(rj, r, j)
-		m.PrecondTo(zj, rj)
-		copyColIn(z, j, zj)
-	}
-}
-
-func applyBlock(a Op, y, x *mat.Dense, cols []int) {
-	if ba, ok := a.(BlockOp); ok {
-		ba.ApplyBlockTo(y, x, cols)
-		return
-	}
-	n := a.Dim()
-	xj := make(mat.Vec, n)
-	yj := make(mat.Vec, n)
-	for _, j := range cols {
-		copyColOut(xj, x, j)
-		a.ApplyTo(yj, xj)
-		copyColIn(y, j, yj)
-	}
-}
-
-func copyColOut(dst mat.Vec, m *mat.Dense, j int) {
-	w := m.Cols
-	for i := range dst {
-		dst[i] = m.Data[i*w+j]
-	}
-}
-
-func copyColIn(m *mat.Dense, j int, src mat.Vec) {
-	w := m.Cols
-	for i := range src {
-		m.Data[i*w+j] = src[i]
-	}
-}
-
-// colNorm2 mirrors mat.Norm2 on column j of m: the same overflow-guarded
-// scaling loop in the same element order, so the result is bitwise equal to
-// Norm2 of the extracted column.
-func colNorm2(m *mat.Dense, j int) float64 {
-	var scale, ssq float64
-	ssq = 1
-	w := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		x := m.Data[i*w+j]
-		if x == 0 {
-			continue
+	w := src.Cols
+	parallel.For(src.Rows, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			drow := dst.Data[i*w : (i+1)*w]
+			srow := src.Data[i*w : (i+1)*w]
+			for _, j := range cols {
+				drow[j] = srow[j]
+			}
 		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// colDot mirrors mat.Dot on column j of a and b (ascending row order).
-func colDot(a, b *mat.Dense, j int) float64 {
-	var s float64
-	w := a.Cols
-	for i := 0; i < a.Rows; i++ {
-		s += a.Data[i*w+j] * b.Data[i*w+j]
-	}
-	return s
+	})
 }
 
 // colStatus tracks one right-hand side through the blocked iteration.
@@ -180,7 +149,7 @@ const (
 // ErrNoConvergence behaviour (errs[j] is nil or ErrNoConvergence). Columns
 // converge (or break down) independently; finished columns drop out of the
 // fused kernels.
-func PCGBlock(a Op, m Preconditioner, b *mat.Dense, opts Options) (*mat.Dense, []Result, []error) {
+func PCGBlock(a BlockOp, m Preconditioner, b *mat.Dense, opts Options) (*mat.Dense, []Result, []error) {
 	return PCGBlockGuess(a, m, b, nil, opts)
 }
 
@@ -189,7 +158,7 @@ func PCGBlock(a Op, m Preconditioner, b *mat.Dense, opts Options) (*mat.Dense, [
 // still measured against ‖b_j‖ — a guess whose residual is already below
 // Tol·‖b_j‖ converges in zero iterations, which is what makes warm-started
 // correction solves (eig.GeneralizedTopKWarm) nearly free near a fixed point.
-func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat.Dense, []Result, []error) {
+func PCGBlockGuess(a BlockOp, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat.Dense, []Result, []error) {
 	n := a.Dim()
 	if b.Rows != n {
 		panic(fmt.Sprintf("solver: PCGBlock rhs rows %d, operator dim %d", b.Rows, n))
@@ -203,6 +172,10 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 	// exercise the block solver identically.
 	opts.MaxIter = faultinject.Int(faultinject.PointPCGMaxIter, opts.MaxIter)
 
+	all := make([]int, k)
+	for j := range all {
+		all[j] = j
+	}
 	x := mat.NewDense(n, k)
 	var r *mat.Dense
 	if x0 == nil {
@@ -210,11 +183,7 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 	} else {
 		copy(x.Data, x0.Data)
 		r = mat.NewDense(n, k)
-		all := make([]int, k)
-		for j := range all {
-			all[j] = j
-		}
-		applyBlock(a, r, x, all)
+		a.ApplyBlockTo(r, x, all)
 		for i, bv := range b.Data {
 			r.Data[i] = bv - r.Data[i]
 		}
@@ -235,9 +204,10 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 	alpha := make([]float64, k)
 	beta := make([]float64, k)
 
+	normCols(bnorm, b, all)
 	act := make([]int, 0, k)
+	moved := make([]int, 0, k) // columns copied between x and best this step
 	for j := 0; j < k; j++ {
-		bnorm[j] = colNorm2(b, j)
 		if bnorm[j] == 0 {
 			status[j] = colDone
 			results[j] = Result{Iterations: 0, Residual: 0}
@@ -246,13 +216,13 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 		act = append(act, j)
 	}
 	if len(act) > 0 {
-		precondBlock(m, z, r, act)
-		parallel.ForEach(len(act), 1, func(c int) {
-			j := act[c]
-			copyPColumn(p, z, j) // p = z
-			rz[j] = colDot(r, z, j)
-			bestRes[j] = colNorm2(r, j) / bnorm[j]
-		})
+		m.PrecondBlockTo(z, r, act)
+		copyCols(p, z, act) // p = z
+		dotCols(rz, r, z, act)
+		normCols(bestRes, r, act)
+		for _, j := range act {
+			bestRes[j] /= bnorm[j]
+		}
 	}
 
 	compact := func() {
@@ -268,16 +238,14 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 	var it int
 	for it = 0; it < opts.MaxIter && len(act) > 0; it++ {
 		// Residual check (top of the scalar loop).
-		parallel.ForEach(len(act), 1, func(c int) {
-			j := act[c]
-			resNow[c] = colNorm2(r, j) / bnorm[j]
-		})
+		normCols(resNow, r, act)
 		changed := false
-		for c, j := range act {
-			res := resNow[c]
+		moved = moved[:0]
+		for _, j := range act {
+			res := resNow[j] / bnorm[j]
 			if res < bestRes[j] {
 				bestRes[j] = res
-				copyColumn(best, x, j)
+				moved = append(moved, j)
 			}
 			if res <= opts.Tol {
 				// Converged: scalar PCG returns the current iterate x.
@@ -286,6 +254,7 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 				changed = true
 			}
 		}
+		copyCols(best, x, moved)
 		if changed {
 			compact()
 			if len(act) == 0 {
@@ -294,16 +263,14 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 		}
 
 		// ap = A·p, fused across the active columns.
-		applyBlock(a, ap, p, act)
-		parallel.ForEach(len(act), 1, func(c int) {
-			j := act[c]
-			pap[j] = colDot(p, ap, j)
-		})
+		a.ApplyBlockTo(ap, p, act)
+		dotCols(pap, p, ap, act)
 		changed = false
+		moved = moved[:0]
 		for _, j := range act {
 			if pap[j] <= 0 || math.IsNaN(pap[j]) {
 				// Breakdown: scalar PCG returns the best iterate so far.
-				copyColumn(x, best, j)
+				moved = append(moved, j)
 				status[j] = colDone
 				results[j] = Result{Iterations: it, Residual: bestRes[j]}
 				errs[j] = ErrNoConvergence
@@ -312,6 +279,7 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 			}
 			alpha[j] = rz[j] / pap[j]
 		}
+		copyCols(x, best, moved)
 		if changed {
 			compact()
 			if len(act) == 0 {
@@ -333,13 +301,13 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 			}
 		})
 
-		precondBlock(m, z, r, act)
-		parallel.ForEach(len(act), 1, func(c int) {
-			j := act[c]
-			rzNew := colDot(r, z, j)
+		m.PrecondBlockTo(z, r, act)
+		dotCols(beta, r, z, act) // rzNew, turned into β below
+		for _, j := range act {
+			rzNew := beta[j]
 			beta[j] = rzNew / rz[j]
 			rz[j] = rzNew
-		})
+		}
 		// p = z + β·p, fused.
 		parallel.For(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -352,37 +320,33 @@ func PCGBlockGuess(a Op, m Preconditioner, b, x0 *mat.Dense, opts Options) (*mat
 		})
 	}
 
-	// Budget exhausted: final residual check, return the best iterate.
+	// Budget exhausted: final residual check, return the best iterate — x
+	// itself where it improved on best, else best.
+	normCols(resNow, r, act)
+	moved = moved[:0]
 	for _, j := range act {
-		res := colNorm2(r, j) / bnorm[j]
-		if res < bestRes[j] {
+		if res := resNow[j] / bnorm[j]; res < bestRes[j] {
 			bestRes[j] = res
-			copyColumn(best, x, j)
+		} else {
+			moved = append(moved, j)
 		}
-		copyColumn(x, best, j)
 		results[j] = Result{Iterations: opts.MaxIter, Residual: bestRes[j]}
 		if bestRes[j] > opts.Tol {
 			errs[j] = ErrNoConvergence
 		}
 	}
+	copyCols(x, best, moved)
 	return x, results, errs
 }
 
-// copyColumn copies column j of src into dst (same shape).
-func copyColumn(dst, src *mat.Dense, j int) {
-	w := src.Cols
-	for i := 0; i < src.Rows; i++ {
-		dst.Data[i*w+j] = src.Data[i*w+j]
-	}
-}
-
-// copyPColumn is copyColumn under a name that reads as "initialize p from z".
-func copyPColumn(dst, src *mat.Dense, j int) { copyColumn(dst, src, j) }
-
-// maxBlockCols caps the width of one PCGBlock tile inside SolveBlock: six
-// n×w working blocks live at once, so an unbounded width would make a wide
-// sketch build (hundreds of RHS on a 10⁵-node graph) allocate gigabytes.
-// Tiles are solved independently, so tiling never changes any bit.
+// maxBlockCols caps the width of one PCGBlock tile inside SolveBlock. Up to
+// nine n×w blocks live at once: the rhs tile and the guess tile, PCGBlock's
+// x, r, z, p, Ap and best, and the flow scratch one TreePrec.PrecondBlockTo
+// call allocates (n×colGroup per column group; the per-component sums add
+// nc×w). That is 72 bytes per node and column, about 0.46 GB for a 64-wide
+// tile on a 10⁵-node graph, so an unbounded width (hundreds of sketch RHS)
+// would allocate gigabytes. Tiles are solved independently, so tiling never
+// changes any bit.
 const maxBlockCols = 64
 
 // SolveBlock computes L⁺ applied to every column of b (n×k) with the blocked

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cirstag/internal/graph"
 	"cirstag/internal/mat"
 	"cirstag/internal/parallel"
 )
@@ -31,20 +32,41 @@ func randomRHS(rng *rand.Rand, rows, cols int) *mat.Dense {
 // The core contract of the blocked solver: every column of SolveBlock is
 // bitwise identical to a standalone Solve on that column — same projections,
 // same PCG recurrence, same floating-point operation order.
+//
+// The wide rows span more than two column groups of the fused kernels
+// (colGroup) on a disconnected graph (per-component sums in the block tree
+// solve), with a zero column and every third column supported only on a
+// 3-node component. Those columns converge within two iterations while their
+// neighbours keep iterating, so compact() leaves a non-contiguous active set.
 func TestSolveBlockBitIdenticalToSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, tc := range []struct {
 		n, extra, cols int
 		opts           Options
+		wide           bool
 	}{
-		{40, 60, 5, Options{Tol: 1e-10}},
-		{40, 60, 5, Options{Tol: 1e-10, Precond: PrecondTree}},
-		{25, 30, 3, Options{Tol: 1e-6, MaxIter: 7}},           // budget-limited: best-iterate path
-		{30, 0, 4, Options{Tol: 1e-10, Precond: PrecondTree}}, // tree graph: exact precond
+		{40, 60, 5, Options{Tol: 1e-10}, false},
+		{40, 60, 5, Options{Tol: 1e-10, Precond: PrecondTree}, false},
+		{25, 30, 3, Options{Tol: 1e-6, MaxIter: 7}, false},           // budget-limited: best-iterate path
+		{30, 0, 4, Options{Tol: 1e-10, Precond: PrecondTree}, false}, // tree graph: exact precond
+		{64, 90, 21, Options{Tol: 1e-10}, true},
+		{64, 90, 21, Options{Tol: 1e-10, Precond: PrecondTree}, true},
+		{64, 90, 21, Options{Tol: 1e-8, MaxIter: 12}, true}, // budget-limited
+		{64, 90, 21, Options{Tol: 1e-8, MaxIter: 12, Precond: PrecondTree}, true},
 	} {
-		g := randomConnectedGraph(rng, tc.n, tc.extra)
+		var g *graph.Graph
+		var b *mat.Dense
+		if tc.wide {
+			g = disconnectedGraph(rng, tc.n, tc.extra)
+			b = staggeredRHS(rng, tc.n, tc.cols)
+		} else {
+			g = randomConnectedGraph(rng, tc.n, tc.extra)
+			b = randomRHS(rng, tc.n, tc.cols)
+		}
 		s := NewLaplacian(g, tc.opts)
-		b := randomRHS(rng, tc.n, tc.cols)
+		if tc.wide {
+			requireStaggered(t, s, b)
+		}
 		out, blockErr := s.SolveBlock(b)
 		var scalarErr error
 		for j := 0; j < tc.cols; j++ {
@@ -60,6 +82,65 @@ func TestSolveBlockBitIdenticalToSolve(t *testing.T) {
 			t.Fatalf("error mismatch: block=%v scalar=%v", blockErr, scalarErr)
 		}
 	}
+}
+
+// disconnectedGraph returns n nodes in four components: two random connected
+// ones, a 3-node path on nodes n-4..n-2, and the isolated node n-1.
+func disconnectedGraph(rng *rand.Rand, n, extra int) *graph.Graph {
+	g := graph.New(n)
+	n1 := (n - 4) / 2
+	for _, part := range []struct{ off, size int }{{0, n1}, {n1, n - 4 - n1}} {
+		sub := randomConnectedGraph(rng, part.size, extra/2)
+		for _, e := range sub.Edges() {
+			g.AddEdge(part.off+e.U, part.off+e.V, e.W)
+		}
+	}
+	g.AddEdge(n-4, n-3, 0.5)
+	g.AddEdge(n-3, n-2, 2)
+	return g
+}
+
+// staggeredRHS returns a random n×cols block for disconnectedGraph whose
+// column cols/2 is zero and whose every third column is nonzero only on the
+// last four nodes: the 3-node path and the isolated node, which the
+// per-component projection zeroes.
+func staggeredRHS(rng *rand.Rand, n, cols int) *mat.Dense {
+	b := randomRHS(rng, n, cols)
+	for j := 0; j < cols; j++ {
+		for i := 0; i < n; i++ {
+			if j == cols/2 || (j%3 == 0 && i < n-4) {
+				b.Data[i*cols+j] = 0
+			}
+		}
+	}
+	return b
+}
+
+// requireStaggered fails unless some column of the blocked solve of b
+// converges while a lower- and a higher-indexed column are still iterating,
+// i.e. compact() leaves a non-contiguous active set behind.
+func requireStaggered(t *testing.T, s *Laplacian, b *mat.Dense) {
+	t.Helper()
+	proj := b.Clone()
+	for j := 0; j < proj.Cols; j++ {
+		s.projectCol(proj, j)
+	}
+	_, results, errs := PCGBlock(AsOp(s.L), s.prec, proj, s.opts)
+	maxBefore := -1
+	for j := range results {
+		it := results[j].Iterations
+		if errs[j] == nil && it > 0 && it < maxBefore {
+			for _, later := range results[j+1:] {
+				if later.Iterations > it {
+					return
+				}
+			}
+		}
+		if it > maxBefore {
+			maxBefore = it
+		}
+	}
+	t.Fatalf("columns did not converge in a staggered order: %+v", results)
 }
 
 // Tiling boundary: widths beyond maxBlockCols split into independent tiles
@@ -85,29 +166,31 @@ func TestSolveBlockWideBlockTiles(t *testing.T) {
 
 // Worker equivalence: the blocked solve is bit-identical for any worker
 // count (chunk boundaries are a pure function of problem size, per-column
-// reductions are column-private). Run under -race in CI.
+// reductions are column-private). The 21-column block spans three column
+// groups, so the fused dot/norm kernels and the block tree solve run
+// concurrently. Run under -race in CI.
 func TestSolveBlockWorkerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	n := 120
 	g := randomConnectedGraph(rng, n, 240)
-	b := randomRHS(rng, n, 9)
-
-	solveWith := func(workers int) *mat.Dense {
-		parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(0)
-		s := NewLaplacian(g, Options{Tol: 1e-10, Precond: PrecondTree})
-		out, err := s.SolveMany(b)
-		if err != nil {
-			t.Fatal(err)
+	for _, b := range []*mat.Dense{randomRHS(rng, n, 9), randomRHS(rng, n, 21)} {
+		solveWith := func(workers int) *mat.Dense {
+			parallel.SetWorkers(workers)
+			defer parallel.SetWorkers(0)
+			s := NewLaplacian(g, Options{Tol: 1e-10, Precond: PrecondTree})
+			out, err := s.SolveMany(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
 		}
-		return out
-	}
-	ref := solveWith(1)
-	for _, w := range []int{2, 4, 16} {
-		got := solveWith(w)
-		for i := range ref.Data {
-			if math.Float64bits(ref.Data[i]) != math.Float64bits(got.Data[i]) {
-				t.Fatalf("workers=%d: SolveMany differs from single-worker result at flat index %d", w, i)
+		ref := solveWith(1)
+		for _, w := range []int{2, 4, 16} {
+			got := solveWith(w)
+			for i := range ref.Data {
+				if math.Float64bits(ref.Data[i]) != math.Float64bits(got.Data[i]) {
+					t.Fatalf("cols=%d workers=%d: SolveMany differs from single-worker result at flat index %d", b.Cols, w, i)
+				}
 			}
 		}
 	}

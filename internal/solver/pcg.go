@@ -29,18 +29,24 @@ type csrOp struct{ m *sparse.CSR }
 func (o csrOp) ApplyTo(y, x mat.Vec) { o.m.MulVecTo(y, x) }
 func (o csrOp) Dim() int             { return o.m.Rows }
 
-// AsOp wraps a square CSR matrix as an Op.
-func AsOp(m *sparse.CSR) Op {
+// AsOp wraps a square CSR matrix as an Op that also has the fused
+// multi-column product PCGBlock needs.
+func AsOp(m *sparse.CSR) BlockOp {
 	if m.Rows != m.Cols {
 		panic(fmt.Sprintf("solver: AsOp needs square matrix, got %dx%d", m.Rows, m.Cols))
 	}
 	return csrOp{m}
 }
 
-// Preconditioner applies an approximation of A⁻¹.
+// Preconditioner applies an approximation of A⁻¹, to one vector or to
+// selected columns of a row-major block.
 type Preconditioner interface {
 	// PrecondTo computes z = M⁻¹·r. z and r must not alias.
 	PrecondTo(z, r mat.Vec)
+	// PrecondBlockTo computes z[:,j] = M⁻¹·r[:,j] for the selected columns,
+	// bitwise equal to PrecondTo per column for any worker count. Other
+	// columns of z are left untouched.
+	PrecondBlockTo(z, r *mat.Dense, cols []int)
 }
 
 // IdentityPrec is the trivial (no-op) preconditioner.

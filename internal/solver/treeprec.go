@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"cirstag/internal/mat"
+	"cirstag/internal/parallel"
 	"cirstag/internal/sparse"
 )
 
@@ -154,5 +155,93 @@ func (t *TreePrec) PrecondTo(z, r mat.Vec) {
 	}
 	for i := range z {
 		z[i] -= sums[t.comp[i]]
+	}
+}
+
+// PrecondBlockTo runs the two-pass tree solve on the selected columns of the
+// row-major block r in place, with no per-column copies. The columns are cut
+// into groups of colGroup; each group allocates one n×(group width) flow
+// scratch and its per-component sums, and keeps a node's values contiguous
+// there, so the tree passes move one short vector per node. Per column the
+// operations and their order are exactly PrecondTo's (the downward pass turns
+// flows into potentials in place: a parent's potential is written before any
+// child reads it), so the result is bitwise equal to PrecondTo on each column
+// for any worker count.
+func (t *TreePrec) PrecondBlockTo(z, r *mat.Dense, cols []int) {
+	n, nc, k := t.n, len(t.sizes), r.Cols
+	parallel.For(len(cols), colGroup, func(lo, hi int) {
+		g := cols[lo:hi]
+		w := len(g)
+		flow := make([]float64, n*w)
+		sums := make([]float64, nc*w)
+		// Project the rhs (kernel component must not reach the solve).
+		for i := 0; i < n; i++ {
+			s := sums[t.comp[i]*w : (t.comp[i]+1)*w]
+			row := r.Data[i*k : (i+1)*k]
+			for c, j := range g {
+				s[c] += row[j]
+			}
+		}
+		t.divideBySizes(sums, w)
+		for i := 0; i < n; i++ {
+			s := sums[t.comp[i]*w : (t.comp[i]+1)*w]
+			f := flow[i*w : (i+1)*w]
+			row := r.Data[i*k : (i+1)*k]
+			for c, j := range g {
+				f[c] = row[j] - s[c]
+			}
+		}
+		// Upward: flow to parent = own rhs + flows from children.
+		for i := n - 1; i >= 0; i-- {
+			u := t.order[i]
+			if p := t.parent[u]; p >= 0 {
+				fp := flow[p*w : (p+1)*w]
+				for c, x := range flow[u*w : (u+1)*w] {
+					fp[c] += x
+				}
+			}
+		}
+		// Downward: potentials from roots, overwriting the flows.
+		for _, u := range t.order {
+			fu := flow[u*w : (u+1)*w]
+			p := t.parent[u]
+			if p < 0 {
+				clear(fu)
+				continue
+			}
+			fp := flow[p*w : (p+1)*w]
+			pw := t.pw[u]
+			for c := range fu {
+				fu[c] = fp[c] + fu[c]/pw
+			}
+		}
+		// Remove component means from the solution.
+		clear(sums)
+		for i := 0; i < n; i++ {
+			s := sums[t.comp[i]*w : (t.comp[i]+1)*w]
+			for c, x := range flow[i*w : (i+1)*w] {
+				s[c] += x
+			}
+		}
+		t.divideBySizes(sums, w)
+		for i := 0; i < n; i++ {
+			s := sums[t.comp[i]*w : (t.comp[i]+1)*w]
+			f := flow[i*w : (i+1)*w]
+			row := z.Data[i*k : (i+1)*k]
+			for c, j := range g {
+				row[j] = f[c] - s[c]
+			}
+		}
+	})
+}
+
+// divideBySizes turns per-component sums (w values per component) into
+// means.
+func (t *TreePrec) divideBySizes(sums []float64, w int) {
+	for c, size := range t.sizes {
+		sz := float64(size)
+		for i := c * w; i < (c+1)*w; i++ {
+			sums[i] /= sz
+		}
 	}
 }
