@@ -187,9 +187,9 @@ func Run(in Input, opts Options) (res *Result, err error) {
 	n := in.Graph.N()
 	opts = opts.withDefaults()
 	// Every stochastic stage owns an RNG stream forked from Options.Seed
-	// (rather than sharing one sequential source), so the input- and
-	// output-manifold builds can overlap without their random sequences
-	// depending on scheduling: same seed, same Result, any worker count.
+	// (rather than sharing one sequential source), so no stage's random
+	// sequence depends on which stages ran before it or on scheduling: same
+	// seed, same Result, any worker count.
 	rngEmbed := parallel.NewRNG(opts.Seed, 0)
 	rngGX := parallel.NewRNG(opts.Seed, 1)
 	rngGY := parallel.NewRNG(opts.Seed, 2)
@@ -214,56 +214,16 @@ func Run(in Input, opts Options) (res *Result, err error) {
 	// relative to any pipeline phase, but not free.
 	keys := opts.artifactKeys(in)
 
-	// Phases 1 + 2: the input manifold G_X (spectral embedding + PGM) and the
-	// output manifold G_Y (PGM over the GNN embeddings) share no state, so
-	// they build concurrently. Each artifact (embedding, G_X, G_Y) is
-	// independently cacheable; a cache hit skips the corresponding phase and
-	// its trace span entirely (warm runs are recognizable by span absence).
-	var gx, gy *graph.Graph
-	var embedding *mat.Dense
-	parallel.Do(
-		func() {
-			gxSpan := root.Child("input_manifold")
-			defer gxSpan.End()
-			if opts.SkipDimReduction {
-				if g, ok := opts.Cache.GetGraph(kindManifold, keys.gx); ok {
-					gx = g
-					return
-				}
-				gx = pgm.FromGraph(in.Graph, rngGX, pgm.Options{AvgDegree: opts.AvgDegree, SkipSparsify: true, Span: gxSpan})
-				opts.Cache.PutGraph(kindManifold, keys.gx, gx)
-				return
-			}
-			if m, ok := opts.Cache.GetDense(kindEmbed, keys.embed); ok {
-				embedding = m
-			} else {
-				es := gxSpan.Child("embedding")
-				sp := embed.Spectral(in.Graph, rngEmbed, embed.Options{Dims: opts.EmbedDims, Multilevel: opts.Multilevel, Eig: opts.Eig})
-				embedding = sp.U
-				if opts.FeatureAlpha > 0 && in.Features != nil {
-					embedding = embed.FeatureAugmented(sp.U, in.Features, opts.FeatureAlpha)
-				}
-				es.End()
-				opts.Cache.PutDense(kindEmbed, keys.embed, embedding)
-			}
-			if g, ok := opts.Cache.GetGraph(kindManifold, keys.gx); ok {
-				gx = g
-				return
-			}
-			gx = pgm.Build(embedding, rngGX, pgm.Options{K: opts.KNN, AvgDegree: opts.AvgDegree, Span: gxSpan})
-			opts.Cache.PutGraph(kindManifold, keys.gx, gx)
-		},
-		func() {
-			gySpan := root.Child("output_manifold")
-			defer gySpan.End()
-			if g, ok := opts.Cache.GetGraph(kindManifold, keys.gy); ok {
-				gy = g
-				return
-			}
-			gy = pgm.Build(in.Output, rngGY, pgm.Options{K: opts.KNN, AvgDegree: opts.AvgDegree, Span: gySpan})
-			opts.Cache.PutGraph(kindManifold, keys.gy, gy)
-		},
-	)
+	// Phases 1 + 2: the input manifold G_X (spectral embedding + PGM), then
+	// the output manifold G_Y (PGM over the GNN embeddings). They share no
+	// state, but they build one after the other: every phase inside already
+	// fans out over the worker pool, and overlapping the two sparsifier
+	// sketches would raise peak heap without saving CPU. Each artifact
+	// (embedding, G_X, G_Y) is independently cacheable; a cache hit skips the
+	// corresponding phase and its trace span entirely (warm runs are
+	// recognizable by span absence).
+	gx, embedding := buildInputManifold(in, opts, keys, rngEmbed, rngGX, root)
+	gy := buildOutputManifold(in, opts, keys, rngGY, root)
 
 	res, err = scorePhase(gx, gy, n, opts, rngEig, root, nil, eig.WarmOptions{})
 	if err != nil {
@@ -271,6 +231,51 @@ func Run(in Input, opts Options) (res *Result, err error) {
 	}
 	res.Embedding = embedding
 	return res, nil
+}
+
+// buildInputManifold builds (or loads from the cache) G_X and the embedding
+// it was built over; the embedding is nil when SkipDimReduction builds G_X
+// from the circuit graph directly.
+func buildInputManifold(in Input, opts Options, keys runKeys, rngEmbed, rngGX *rand.Rand, root *obs.Span) (*graph.Graph, *mat.Dense) {
+	gxSpan := root.Child("input_manifold")
+	defer gxSpan.End()
+	if opts.SkipDimReduction {
+		if g, ok := opts.Cache.GetGraph(kindManifold, keys.gx); ok {
+			return g, nil
+		}
+		gx := pgm.FromGraph(in.Graph, rngGX, pgm.Options{AvgDegree: opts.AvgDegree, SkipSparsify: true, Span: gxSpan})
+		opts.Cache.PutGraph(kindManifold, keys.gx, gx)
+		return gx, nil
+	}
+	embedding, ok := opts.Cache.GetDense(kindEmbed, keys.embed)
+	if !ok {
+		es := gxSpan.Child("embedding")
+		sp := embed.Spectral(in.Graph, rngEmbed, embed.Options{Dims: opts.EmbedDims, Multilevel: opts.Multilevel, Eig: opts.Eig})
+		embedding = sp.U
+		if opts.FeatureAlpha > 0 && in.Features != nil {
+			embedding = embed.FeatureAugmented(sp.U, in.Features, opts.FeatureAlpha)
+		}
+		es.End()
+		opts.Cache.PutDense(kindEmbed, keys.embed, embedding)
+	}
+	if g, ok := opts.Cache.GetGraph(kindManifold, keys.gx); ok {
+		return g, embedding
+	}
+	gx := pgm.Build(embedding, rngGX, pgm.Options{K: opts.KNN, AvgDegree: opts.AvgDegree, Span: gxSpan})
+	opts.Cache.PutGraph(kindManifold, keys.gx, gx)
+	return gx, embedding
+}
+
+// buildOutputManifold builds (or loads from the cache) G_Y.
+func buildOutputManifold(in Input, opts Options, keys runKeys, rngGY *rand.Rand, root *obs.Span) *graph.Graph {
+	gySpan := root.Child("output_manifold")
+	defer gySpan.End()
+	if g, ok := opts.Cache.GetGraph(kindManifold, keys.gy); ok {
+		return g
+	}
+	gy := pgm.Build(in.Output, rngGY, pgm.Options{K: opts.KNN, AvgDegree: opts.AvgDegree, Span: gySpan})
+	opts.Cache.PutGraph(kindManifold, keys.gy, gy)
+	return gy
 }
 
 // validateInput checks the Run contract up front so violations surface as

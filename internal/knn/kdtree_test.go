@@ -18,27 +18,140 @@ func randPoints(rng *rand.Rand, n, d int) *mat.Dense {
 	return pts
 }
 
+// anisotropicPoints draws n 37-dim points whose 16 leading axes have scale
+// 0.01 and whose 21 trailing axes have scale 1, the axis-scale split of the
+// feature-augmented input embedding.
+func anisotropicPoints(rng *rand.Rand, n int) *mat.Dense {
+	pts := mat.NewDense(n, 37)
+	for i := 0; i < n; i++ {
+		for a := 0; a < 37; a++ {
+			s := 1.0
+			if a < 16 {
+				s = 0.01
+			}
+			pts.Set(i, a, s*rng.NormFloat64())
+		}
+	}
+	return pts
+}
+
+// augmentedPoints draws n points shaped like embed.FeatureAugmented output:
+// 16 spectral-like axes N(0, 0.01²) beside 21 feature axes that are a fixed
+// random linear map of a 3-dim Gaussian latent plus N(0, 0.01²) noise.
+func augmentedPoints(rng *rand.Rand, n int) *mat.Dense {
+	const spectral, features, latent = 16, 21, 3
+	var proj [features][latent]float64
+	for f := range proj {
+		for l := range proj[f] {
+			proj[f][l] = rng.NormFloat64()
+		}
+	}
+	pts := mat.NewDense(n, spectral+features)
+	for i := 0; i < n; i++ {
+		row := pts.Row(i)
+		for a := 0; a < spectral; a++ {
+			row[a] = 0.01 * rng.NormFloat64()
+		}
+		var z [latent]float64
+		for l := range z {
+			z[l] = rng.NormFloat64()
+		}
+		for f := range proj {
+			v := 0.01 * rng.NormFloat64()
+			for l, w := range proj[f] {
+				v += w * z[l]
+			}
+			row[spectral+f] = v
+		}
+	}
+	return pts
+}
+
+// gridPoints draws n points with integer coordinates in [0, side) on dims
+// axes: with n well above side^dims most points have exact duplicates, so
+// most queries tie at the k-th distance.
+func gridPoints(rng *rand.Rand, n, dims, side int) *mat.Dense {
+	pts := mat.NewDense(n, dims)
+	for i := range pts.Data {
+		pts.Data[i] = float64(rng.Intn(side))
+	}
+	return pts
+}
+
+// oracle is the exact answer to tree.Query(pts.Row(i), k, skip) for skip ∈
+// {i, −1}: BruteForce, plus row i itself at d² = 0 when it is not skipped
+// (where it competes by id with its exact duplicates).
+func oracle(pts *mat.Dense, i, k, skip int) []Neighbor {
+	if skip == i {
+		return BruteForce(pts, i, k)
+	}
+	all := BruteForce(pts, i, pts.Rows)
+	self := Neighbor{ID: i}
+	pos := sort.Search(len(all), func(j int) bool { return all[j].after(self) })
+	all = append(all[:pos], append([]Neighbor{self}, all[pos:]...)...)
+	return all[:min(k, len(all))]
+}
+
+// TestQueryMatchesBruteForce requires Query to return exactly the (d², id)
+// order of the exhaustive oracle, ids and distance bits alike, on inputs
+// where pruning depends on axis scaling and where ties at the k-th distance
+// are the rule rather than the exception.
 func TestQueryMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
-	for _, dims := range []int{1, 2, 3, 8} {
-		pts := randPoints(rng, 200, dims)
-		tree := NewKDTree(pts)
+	cases := []struct {
+		name string
+		pts  *mat.Dense
+	}{
+		{"gauss-1d", randPoints(rng, 200, 1)},
+		{"gauss-2d", randPoints(rng, 200, 2)},
+		{"gauss-3d", randPoints(rng, 200, 3)},
+		{"gauss-8d", randPoints(rng, 200, 8)},
+		{"anisotropic-37d", anisotropicPoints(rng, 400)},
+		{"augmented-37d", augmentedPoints(rng, 400)},
+		{"grid-duplicates-3d", gridPoints(rng, 300, 3, 4)},
+		{"grid-duplicates-2d", gridPoints(rng, 300, 2, 5)},
+		{"grid-duplicates-6d", gridPoints(rng, 400, 6, 2)},
+	}
+	for _, c := range cases {
+		tree := NewKDTree(c.pts)
 		for trial := 0; trial < 25; trial++ {
-			i := rng.Intn(200)
-			k := 1 + rng.Intn(10)
-			got := tree.Query(pts.Row(i), k, i)
-			want := BruteForce(pts, i, k)
-			if len(got) != len(want) {
-				t.Fatalf("dims=%d: got %d neighbors, want %d", dims, len(got), len(want))
-			}
-			for j := range got {
-				// Distances must match exactly (ties may swap ids).
-				if math.Abs(got[j].Dist2-want[j].Dist2) > 1e-12 {
-					t.Fatalf("dims=%d neighbor %d: dist %v vs %v", dims, j, got[j].Dist2, want[j].Dist2)
+			i := rng.Intn(c.pts.Rows)
+			for _, k := range []int{1, 10, 1 + rng.Intn(10)} {
+				for _, skip := range []int{i, -1} {
+					got := tree.Query(c.pts.Row(i), k, skip)
+					want := oracle(c.pts, i, k, skip)
+					if len(got) != len(want) {
+						t.Fatalf("%s i=%d k=%d skip=%d: got %d neighbors, want %d", c.name, i, k, skip, len(got), len(want))
+					}
+					for j := range got {
+						if got[j].ID != want[j].ID || math.Float64bits(got[j].Dist2) != math.Float64bits(want[j].Dist2) {
+							t.Fatalf("%s i=%d k=%d skip=%d neighbor %d: got %+v, want %+v", c.name, i, k, skip, j, got[j], want[j])
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestQueryFanoutAugmented is the kd-tree's algorithm-health check: on
+// 4,000 points shaped like the feature-augmented input embedding, a query
+// must examine at most a fifth of the points on average. A tree that cuts
+// only the low-variance spectral axes examines all of them.
+func TestQueryFanoutAugmented(t *testing.T) {
+	const n, k = 4000, 10
+	pts := augmentedPoints(rand.New(rand.NewSource(79)), n)
+	tree := NewKDTree(pts)
+	var examined int
+	for i := 0; i < n; i++ {
+		_, visited := tree.query(pts.Row(i), k, i)
+		examined += visited
+	}
+	per := float64(examined) / n
+	if per > 0.2*n {
+		t.Fatalf("mean fanout %.0f of n=%d points (%.3f·n), bound 0.2·n", per, n, per/n)
+	}
+	t.Logf("mean fanout %.0f of n=%d points (%.3f·n)", per, n, per/n)
 }
 
 func TestQuerySortedAscending(t *testing.T) {

@@ -58,26 +58,27 @@ func TestBuildGraphMatchesBruteForceOracle(t *testing.T) {
 }
 
 // TestBuildGraphWorkerCountEquivalence requires the merged edge list to be
-// byte-identical across worker counts.
+// byte-identical across worker counts, on Gaussian points and on
+// duplicate-heavy grid points where most queries tie at the k-th distance.
 func TestBuildGraphWorkerCountEquivalence(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	rng := rand.New(rand.NewSource(11))
-	pts := randPoints(rng, 300, 5)
-
-	parallel.SetWorkers(1)
-	ref := BuildGraph(pts, 8)
-	for _, workers := range []int{2, 8} {
-		parallel.SetWorkers(workers)
-		got := BuildGraph(pts, 8)
-		if len(got.Edges) != len(ref.Edges) {
-			t.Fatalf("workers=%d: %d edges, serial gave %d", workers, len(got.Edges), len(ref.Edges))
-		}
-		for i := range ref.Edges {
-			a, b := got.Edges[i], ref.Edges[i]
-			if a.U != b.U || a.V != b.V ||
-				math.Float64bits(a.W) != math.Float64bits(b.W) ||
-				math.Float64bits(a.D2) != math.Float64bits(b.D2) {
-				t.Fatalf("workers=%d: edge %d = %+v, serial gave %+v", workers, i, a, b)
+	for _, pts := range []*mat.Dense{randPoints(rng, 300, 5), gridPoints(rng, 300, 3, 4)} {
+		parallel.SetWorkers(1)
+		ref := BuildGraph(pts, 8)
+		for _, workers := range []int{2, 8} {
+			parallel.SetWorkers(workers)
+			got := BuildGraph(pts, 8)
+			if len(got.Edges) != len(ref.Edges) {
+				t.Fatalf("%d-dim, workers=%d: %d edges, serial gave %d", pts.Cols, workers, len(got.Edges), len(ref.Edges))
+			}
+			for i := range ref.Edges {
+				a, b := got.Edges[i], ref.Edges[i]
+				if a.U != b.U || a.V != b.V ||
+					math.Float64bits(a.W) != math.Float64bits(b.W) ||
+					math.Float64bits(a.D2) != math.Float64bits(b.D2) {
+					t.Fatalf("%d-dim, workers=%d: edge %d = %+v, serial gave %+v", pts.Cols, workers, i, a, b)
+				}
 			}
 		}
 	}
@@ -142,5 +143,14 @@ func BenchmarkKNNBuild(b *testing.B) {
 			b.ReportMetric(serial/par, "speedup")
 		}
 		b.ReportMetric(float64(parallel.Workers()), "workers")
+	})
+	// The input-manifold shape: 8,192 points of the 37-dim feature-augmented
+	// embedding, whose axis scales differ by a factor of 100.
+	b.Run("augmented", func(b *testing.B) {
+		aug := augmentedPoints(rand.New(rand.NewSource(2)), 8192)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			BuildGraph(aug, 10)
+		}
 	})
 }

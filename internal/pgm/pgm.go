@@ -145,7 +145,8 @@ var (
 // changed must be sorted ascending with ids in [0, y.Rows); base must have
 // y.Rows nodes. The output is deterministic: base edges are visited in
 // canonical order, then changed nodes in ascending order with neighbours in
-// the kd-tree's ascending-distance order.
+// the kd-tree's ascending (d², id) order, so a changed node whose k-th
+// distance ties re-links to the lowest-id tied neighbours.
 func PatchKNN(base *graph.Graph, y *mat.Dense, changed []int, opts Options) *graph.Graph {
 	opts = opts.withDefaults()
 	n := base.N()

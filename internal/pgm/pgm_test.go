@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cirstag/internal/graph"
+	"cirstag/internal/knn"
 	"cirstag/internal/mat"
 )
 
@@ -265,6 +266,49 @@ func TestPatchKNNPrunesStaleEdges(t *testing.T) {
 		}
 		if !patched.HasEdge(e.U, e.V) {
 			t.Fatalf("unchanged edge %d-%d dropped", e.U, e.V)
+		}
+	}
+}
+
+// TestPatchKNNTiesRelinkCanonically: a changed node moved next to a stack of
+// duplicate rows ties at its k-th distance with more candidates than it can
+// take. Its re-linked neighbours must be exactly the brute-force (d², id)
+// top-k, the lowest ids among the tied duplicates.
+func TestPatchKNNTiesRelinkCanonically(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	n, k := 120, 6
+	pts := mat.NewDense(n, 2)
+	for i := range pts.Data {
+		pts.Data[i] = rng.NormFloat64()
+	}
+	// Twelve identical rows far from the cloud, at scattered ids.
+	for i := 3; i < n; i += 10 {
+		pts.Set(i, 0, 40)
+		pts.Set(i, 1, 40)
+	}
+	g := Build(pts, rng, Options{K: k, SkipSparsify: true})
+	c := 17
+	// One unit from every duplicate: all twelve tie at d² = 1, and every old
+	// neighbour of c is now far beyond that radius.
+	pts.Set(c, 0, 40)
+	pts.Set(c, 1, 41)
+	patched := PatchKNN(g, pts, []int{c}, Options{K: k})
+	want := knn.BruteForce(pts, c, k)
+	if want[k-1].Dist2 != 1 {
+		t.Fatalf("k-th oracle distance %v, want the tied 1", want[k-1].Dist2)
+	}
+	// All k oracle neighbours tie at d² = 1, so their (d², id) order is
+	// ascending id, the order SortedNeighbors returns.
+	got := patched.SortedNeighbors(c)
+	if len(got) != k {
+		t.Fatalf("changed node has %d neighbours %v, want its %d nearest", len(got), got, k)
+	}
+	for j, nb := range want {
+		if got[j] != nb.ID {
+			t.Fatalf("re-linked neighbours %v, want the (d², id) top-%d %v", got, k, want)
+		}
+		if w := patched.EdgeWeight(c, nb.ID); w != 1 {
+			t.Fatalf("edge %d-%d weight %v, want 1/d² = 1", c, nb.ID, w)
 		}
 	}
 }
