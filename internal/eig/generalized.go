@@ -44,11 +44,11 @@ func GeneralizedTopK(lx, ly *sparse.CSR, k int, rng *rand.Rand, opts Options) []
 	return GeneralizedTopKSeeded(lx, ly, k, nil, rng, opts)
 }
 
-// GeneralizedTopKSeeded is GeneralizedTopK with warm-start directions. Seeds
-// (typically prolongated coarse-level eigenvectors from a coarsening
-// hierarchy) are consumed in order: the first usable seed becomes the Krylov
-// start vector and later ones replace the random directions injected at
-// breakdown restarts, before the iteration falls back to random vectors.
+// GeneralizedTopKSeeded is GeneralizedTopK with warm-start directions (for
+// example eigenvectors of a nearby problem). Seeds are consumed in order: the
+// first usable seed becomes the Krylov start vector and later ones replace
+// the random directions injected at breakdown restarts, before the iteration
+// falls back to random vectors.
 // Each consumed seed advances eig.generalized.seeded. Unusable seeds (wrong
 // length, non-finite, or in the span of the current basis) are skipped.
 // With nil seeds the iteration is bit-identical to GeneralizedTopK.

@@ -357,7 +357,6 @@ type directedEdge struct {
 type WeightedEdge struct {
 	U, V int
 	W    float64
-	D2   float64 // squared Euclidean distance in the embedding
 }
 
 // BuildGraph constructs the kNN graph of the rows of pts. The per-point tree
@@ -437,33 +436,7 @@ func BuildGraph(pts *mat.Dense, k int) *Graph {
 		if dd < floor {
 			dd = floor
 		}
-		g.Edges[i] = WeightedEdge{U: e.u, V: e.v, W: 1 / dd, D2: e.d2}
+		g.Edges[i] = WeightedEdge{U: e.u, V: e.v, W: 1 / dd}
 	}
 	return g
-}
-
-// GaussianWeights rescales the graph's weights in place to the heat-kernel
-// form w = exp(−d²/(2σ²)), with σ set to the median neighbor distance when
-// sigma <= 0. This alternative weighting is used in the ablation benches.
-func (g *Graph) GaussianWeights(sigma float64) {
-	if sigma <= 0 {
-		d := make([]float64, len(g.Edges))
-		for i, e := range g.Edges {
-			d[i] = math.Sqrt(e.D2)
-		}
-		sort.Float64s(d)
-		if len(d) == 0 {
-			return
-		}
-		sigma = d[len(d)/2]
-		if sigma == 0 {
-			sigma = 1
-		}
-	}
-	for i := range g.Edges {
-		g.Edges[i].W = math.Exp(-g.Edges[i].D2 / (2 * sigma * sigma))
-		if g.Edges[i].W < 1e-12 {
-			g.Edges[i].W = 1e-12
-		}
-	}
 }

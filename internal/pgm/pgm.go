@@ -28,11 +28,6 @@ type Options struct {
 	AvgDegree int
 	// SkipSparsify keeps the full kNN graph (used by ablations).
 	SkipSparsify bool
-	// Gaussian switches edge weights to the heat kernel exp(−d²/2σ²)
-	// instead of the default 1/d² (ablation option).
-	Gaussian bool
-	// Sigma is the Gaussian bandwidth (0 = median heuristic).
-	Sigma float64
 	// Span, when non-nil, is the parent trace span under which the kNN and
 	// sparsification sub-phases record their wall time (obs.Span is nil-safe,
 	// so callers can forward a span unconditionally).
@@ -45,10 +40,6 @@ type Options struct {
 // bound is accurate enough and the q sketch solves would dominate the
 // phase; above it the tree stretch distorts the η ranking materially.
 const sketchAboveNodes = 8192
-
-// sketchEps is the sketch error target for Phase-2 resistance ranking —
-// loose, because only the η *ordering* matters, not the values.
-const sketchEps = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.K <= 0 {
@@ -67,9 +58,6 @@ func Build(x *mat.Dense, rng *rand.Rand, opts Options) *graph.Graph {
 	opts = opts.withDefaults()
 	ks := opts.Span.Child("knn")
 	kg := knn.BuildGraph(x, opts.K)
-	if opts.Gaussian {
-		kg.GaussianWeights(opts.Sigma)
-	}
 	g := graph.New(kg.N)
 	for _, e := range kg.Edges {
 		g.AddEdge(e.U, e.V, e.W)
@@ -84,10 +72,8 @@ func Build(x *mat.Dense, rng *rand.Rand, opts Options) *graph.Graph {
 	}
 	ss := opts.Span.Child("sparsify")
 	res := sparsify.Sparsify(g, nil, rng, sparsify.Options{
-		TargetEdges:       target,
-		UseTreeResistance: true,
-		SketchAboveNodes:  sketchAboveNodes,
-		SketchEps:         sketchEps,
+		TargetEdges:      target,
+		SketchAboveNodes: sketchAboveNodes,
 	})
 	ss.End()
 	return res.Graph
@@ -107,10 +93,8 @@ func FromGraph(g *graph.Graph, rng *rand.Rand, opts Options) *graph.Graph {
 	}
 	ss := opts.Span.Child("sparsify")
 	res := sparsify.Sparsify(g, nil, rng, sparsify.Options{
-		TargetEdges:       target,
-		UseTreeResistance: true,
-		SketchAboveNodes:  sketchAboveNodes,
-		SketchEps:         sketchEps,
+		TargetEdges:      target,
+		SketchAboveNodes: sketchAboveNodes,
 	})
 	ss.End()
 	return res.Graph

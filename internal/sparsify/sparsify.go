@@ -29,25 +29,15 @@ type Options struct {
 	// is always kept, so the effective budget is max(TargetEdges, n−1).
 	// Zero selects 2·(n−1) (about average degree 4).
 	TargetEdges int
-	// ResistanceThreshold bounds the LRD cycle resistance: off-tree edges
-	// whose fundamental-cycle resistance exceeds the threshold are treated
-	// as spectrally critical and kept regardless of budget. Zero disables.
-	ResistanceThreshold float64
-	// UseTreeResistance, when true, approximates each off-tree edge's
-	// effective resistance by its tree-path resistance (an upper bound that
-	// avoids Laplacian solves). When false the caller supplies resistances.
-	UseTreeResistance bool
 	// SketchAboveNodes, when positive and no explicit resistances were
 	// supplied, ranks edges by Spielman–Srivastava-sketched effective
 	// resistances (effres.Sketch) once the graph reaches this many nodes,
-	// overriding UseTreeResistance. Tree-path bounds overestimate off-tree
-	// resistances by up to the tree stretch, which grows with n; the sketch
-	// stays within (1±ε) of the truth at O((m+n·q)·q) build cost — amortized
-	// near-linear thanks to the blocked multi-RHS solve underneath.
+	// instead of by tree-path resistances. Tree-path bounds overestimate
+	// off-tree resistances by up to the tree stretch, which grows with n;
+	// the sketch stays within (1±ε) of the truth at O((m+n·q)·q) build
+	// cost — amortized near-linear thanks to the blocked multi-RHS solve
+	// underneath.
 	SketchAboveNodes int
-	// SketchEps is the sketch's target relative error (effres.SketchQ).
-	// Values outside (0,1) select the default 0.3.
-	SketchEps float64
 }
 
 // Result describes a sparsified graph.
@@ -65,8 +55,9 @@ type Result struct {
 // preserved so the manifold stays connected (per component of g).
 //
 // reff optionally supplies per-edge effective resistances (indexed like
-// g.Edges()); pass nil with opts.UseTreeResistance to use tree-path upper
-// bounds, which is the fast path used by the main pipeline.
+// g.Edges()). Pass nil to rank by tree-path resistances, upper bounds that
+// need no Laplacian solve (or by sketched resistances above
+// opts.SketchAboveNodes); the main pipeline always passes nil.
 func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Result {
 	n := g.N()
 	edges := g.Edges()
@@ -93,54 +84,38 @@ func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Res
 		// RHS converge slowly there even under the spanning-tree
 		// preconditioner, so truncated best-iterate solves are the right
 		// price point.
-		q := effres.SketchQ(n, opts.SketchEps)
-		if q > rankingSketchMaxRows {
-			q = rankingSketchMaxRows
-		}
+		// Beyond 2n rows a sketch adds no accuracy (effres.SketchQ clamps
+		// there too).
+		q := min(rankingSketchMaxRows, 2*n)
 		sk := effres.NewSketch(g, q, rng,
 			solver.Options{Tol: 1e-4, MaxIter: rankingSketchMaxIter, Precond: solver.PrecondTree})
 		reff = sk.EdgeResistances(g)
-		opts.UseTreeResistance = false
 		sketchResistanceUses.Inc()
 	}
-	// Resistance estimate for every edge.
+	// Spectral distortion η = w·R for every edge. Without supplied or
+	// sketched resistances, R is the tree-path resistance: exact for tree
+	// edges (the path is the edge itself), an upper bound on Reff otherwise.
 	eta := make([]float64, m)
 	var tp *TreePaths
-	if reff == nil || opts.UseTreeResistance {
+	if reff == nil {
 		tp = NewTreePaths(g, tree)
 	}
-	cycleRes := make([]float64, m) // fundamental-cycle resistance of off-tree edges
 	for id, e := range edges {
 		var r float64
 		switch {
-		case reff != nil && !opts.UseTreeResistance:
+		case reff != nil:
 			r = reff[id]
 		case inTree[id]:
-			r = 1 / e.W // tree edges: path resistance is the edge itself
+			r = 1 / e.W
 		default:
-			// Tree-path resistance is an upper bound on Reff; combined with
-			// the edge in parallel it gives the LRD cycle resistance.
-			ptr := tp.PathResistance(e.U, e.V)
-			if ptr < 0 {
-				ptr = 1 / e.W
+			r = tp.PathResistance(e.U, e.V)
+			if r < 0 {
+				r = 1 / e.W
 			}
-			r = ptr
 		}
 		eta[id] = e.W * r
-		if !inTree[id] {
-			// Cycle resistance: edge resistance + tree path resistance.
-			var ptr float64
-			if tp != nil {
-				ptr = tp.PathResistance(e.U, e.V)
-				if ptr < 0 {
-					ptr = 0
-				}
-			}
-			cycleRes[id] = 1/e.W + ptr
-		}
 	}
-	// Rank off-tree edges by descending η; keep the top ones within budget,
-	// plus any whose LRD cycle resistance exceeds the threshold.
+	// Rank off-tree edges by descending η; keep the top ones within budget.
 	offTree := make([]int, 0, m)
 	for id := range edges {
 		if !inTree[id] {
@@ -155,11 +130,8 @@ func Sparsify(g *graph.Graph, reff []float64, rng *rand.Rand, opts Options) *Res
 	})
 	budget := opts.TargetEdges - len(tree)
 	kept := append([]int(nil), tree...)
-	for rank, id := range offTree {
-		critical := opts.ResistanceThreshold > 0 && cycleRes[id] > opts.ResistanceThreshold
-		if rank < budget || critical {
-			kept = append(kept, id)
-		}
+	if budget > 0 {
+		kept = append(kept, offTree[:min(budget, len(offTree))]...)
 	}
 	sort.Ints(kept)
 	out := graph.New(n)

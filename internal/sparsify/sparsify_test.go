@@ -136,7 +136,7 @@ func TestSparsifyKeepsConnectivityAndBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	g := randomConnectedGraph(rng, 60, 400)
 	target := 100
-	res := Sparsify(g, nil, rng, Options{TargetEdges: target, UseTreeResistance: true})
+	res := Sparsify(g, nil, rng, Options{TargetEdges: target})
 	if !res.Graph.IsConnected() {
 		t.Fatal("sparsifier disconnected the graph")
 	}
@@ -151,7 +151,7 @@ func TestSparsifyKeepsConnectivityAndBudget(t *testing.T) {
 func TestSparsifyPrunesLowEtaFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	g := randomConnectedGraph(rng, 40, 200)
-	res := Sparsify(g, nil, rng, Options{TargetEdges: 60, UseTreeResistance: true})
+	res := Sparsify(g, nil, rng, Options{TargetEdges: 60})
 	kept := make(map[int]bool)
 	for _, id := range res.KeptEdges {
 		kept[id] = true
@@ -179,7 +179,7 @@ func TestSparsifyPreservesQuadForms(t *testing.T) {
 	g := randomConnectedGraph(rng, 80, 600)
 	// Keep half the edges: quadratic forms should stay within a moderate
 	// factor (this is a smoke bound, not the tight (1±ε) guarantee).
-	res := Sparsify(g, nil, rng, Options{TargetEdges: g.M() / 2, UseTreeResistance: true})
+	res := Sparsify(g, nil, rng, Options{TargetEdges: g.M() / 2})
 	d := QuadFormDistortion(g, res.Graph, 20, rng)
 	if d > 1.0 {
 		t.Fatalf("quadratic form distortion %v too large", d)
@@ -206,24 +206,6 @@ func TestSparsifyWithExactResistances(t *testing.T) {
 	}
 }
 
-func TestSparsifyResistanceThresholdKeepsCriticalEdges(t *testing.T) {
-	// A long cycle: the chord closing it has huge cycle resistance and must
-	// be kept even with a tree-only budget when the threshold is small.
-	n := 20
-	g := graph.New(n)
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1, 1)
-	}
-	g.AddEdge(0, n-1, 1) // closes the cycle
-	rng := rand.New(rand.NewSource(88))
-	res := Sparsify(g, nil, rng, Options{TargetEdges: n - 1, UseTreeResistance: true, ResistanceThreshold: 5})
-	// Budget allows only the tree, but the off-tree chord has cycle
-	// resistance ~n > 5, so it must be kept.
-	if res.Graph.M() != n {
-		t.Fatalf("critical chord dropped: M=%d want %d", res.Graph.M(), n)
-	}
-}
-
 func TestUnionFind(t *testing.T) {
 	u := newUnionFind(5)
 	if !u.union(0, 1) || !u.union(1, 2) {
@@ -247,13 +229,12 @@ func TestSparsifySketchResistancePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	n := 200
 	g := randomConnectedGraph(rng, n, 500)
-	base := Options{TargetEdges: 2 * n, UseTreeResistance: true}
+	base := Options{TargetEdges: 2 * n}
 
 	// Threshold above n: SketchAboveNodes set but inactive — identical output.
 	plain := Sparsify(g, nil, rand.New(rand.NewSource(5)), base)
 	gated := base
 	gated.SketchAboveNodes = n + 1
-	gated.SketchEps = 0.5
 	same := Sparsify(g, nil, rand.New(rand.NewSource(5)), gated)
 	if len(plain.KeptEdges) != len(same.KeptEdges) {
 		t.Fatalf("inactive sketch option changed the result: %d vs %d edges", len(plain.KeptEdges), len(same.KeptEdges))
@@ -267,7 +248,6 @@ func TestSparsifySketchResistancePath(t *testing.T) {
 	// Threshold at n: sketch path active.
 	active := base
 	active.SketchAboveNodes = n
-	active.SketchEps = 0.5
 	before := sketchResistanceUses.Value()
 	res := Sparsify(g, nil, rand.New(rand.NewSource(5)), active)
 	if sketchResistanceUses.Value() != before+1 {

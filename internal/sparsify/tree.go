@@ -2,8 +2,7 @@
 // CirSTAG: spanning-tree extraction (maximum-weight and low-stretch
 // shortest-path trees) and spectral sparsification that prunes off-tree edges
 // with small spectral distortion η = w·R_eff (paper eq. 8) while preserving
-// connectivity, bounding each off-tree edge's low-resistance-diameter (LRD)
-// cycle resistance.
+// connectivity.
 package sparsify
 
 import (
